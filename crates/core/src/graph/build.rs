@@ -2,14 +2,11 @@
 //!
 //! "Since measurement histograms capture all graph edges, the DFL-G is built
 //! by connecting all edges." Each `TaskFileRecord` contributes a producer
-//! edge (writes), a consumer edge (reads), or both. Construction is linear
-//! in records and can be parallelized; property derivation per record is
-//! independent, so we compute edge properties with rayon and connect
-//! sequentially (vertex updates stay trivially atomic).
+//! edge (writes), a consumer edge (reads), or both. Construction is one
+//! sequential pass, linear in records: each record's edge properties are
+//! derived and the edge connected in record order.
 
 use std::collections::HashMap;
-
-use rayon::prelude::*;
 
 use dfl_trace::stats::TaskFileRecord;
 use dfl_trace::{FlowKind, MeasurementSet};
@@ -146,19 +143,12 @@ impl DflGraph {
             }
         }
 
-        // Edge property derivation is independent per record: parallelize.
-        let derived: Vec<(dfl_trace::TaskId, dfl_trace::FileId, FlowKind, EdgeProps)> = set
-            .records
-            .par_iter()
-            .flat_map_iter(|r| {
-                let lifetime = task_lifetime.get(&r.task).copied().unwrap_or(0);
-                r.flow_kinds()
-                    .into_iter()
-                    .map(move |k| (r.task, r.file, k, edge_props_for(r, k, lifetime)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-
+        let derived = set.records.iter().flat_map(|r| {
+            let lifetime = task_lifetime.get(&r.task).copied().unwrap_or(0);
+            r.flow_kinds()
+                .into_iter()
+                .map(move |k| (r.task, r.file, k, edge_props_for(r, k, lifetime)))
+        });
         for (task, file, kind, props) in derived {
             let (Some(&tv), Some(&dv)) = (task_vertex.get(&task), file_vertex.get(&file)) else {
                 continue;

@@ -539,24 +539,26 @@ impl DflGraph {
 // which carried explicit adjacency vectors, loadable — unknown fields are
 // ignored).
 impl Serialize for DflGraph {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            (
-                "vertices".to_owned(),
-                serde::Value::Array(self.vertices.iter().map(|v| v.to_value()).collect()),
-            ),
-            (
-                "edges".to_owned(),
-                serde::Value::Array(self.edges().map(|(_, e)| e.to_value()).collect()),
-            ),
-        ])
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.begin_object();
+        w.key(true, "vertices");
+        w.seq(&self.vertices);
+        w.key(false, "edges");
+        w.seq(self.edges().map(|(_, e)| e));
+        w.end_object(false);
     }
 }
 
 impl Deserialize for DflGraph {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let vertices: Vec<Vertex> = serde::de_field(v, "vertices")?;
-        let edges: Vec<Edge> = serde::de_field(v, "edges")?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut vertices, mut edges) = (None, None);
+        r.object(|r, key| match key {
+            "vertices" => r.slot(&mut vertices),
+            "edges" => r.slot(&mut edges),
+            _ => r.skip_value(),
+        })?;
+        let vertices: Vec<Vertex> = serde::field(vertices, "vertices")?;
+        let edges: Vec<Edge> = serde::field(edges, "edges")?;
         let mut g = DflGraph::new();
         for vert in vertices {
             g.add_vertex(vert);

@@ -121,6 +121,9 @@ struct Core {
     draining: bool,
     shutdown: bool,
     subs: HashMap<u64, Vec<SyncSender<StreamMsg>>>,
+    /// Terminal `stream` lines of jobs a chaos kill stranded in `running`,
+    /// for subscribers that arrive after the kill.
+    stranded: HashMap<u64, String>,
     metrics: MetricsRegistry,
     /// Wall-clock lifecycle recorder (spans/instants; never sim state).
     obs: ServeObs,
@@ -317,6 +320,7 @@ impl Daemon {
             draining: false,
             shutdown: false,
             subs: HashMap::new(),
+            stranded: HashMap::new(),
             metrics,
             obs: ServeObs::new(),
             health: Health::new(cfg.health.clone()),
@@ -704,17 +708,21 @@ impl Daemon {
                 emit(resp::error("unknown job"));
                 return;
             };
-            match rec.state {
-                JobState::Queued | JobState::Running => {
-                    let (tx, rx) = sync_channel(256);
-                    c.subs.entry(rec.id).or_default().push(tx);
-                    rx
-                }
-                terminal => {
-                    emit(resp::job(rec.id, terminal.label(), &rec.detail, &rec.tenant));
-                    return;
-                }
+            // Only a queued job or one on a worker will end its streams. A
+            // `running` job no worker holds was parked by a drain or
+            // stranded by a chaos kill; waiting on it would never return.
+            let live = rec.state == JobState::Queued
+                || (rec.state == JobState::Running && c.running.contains(&rec.id));
+            if !live {
+                emit(match c.stranded.get(&rec.id) {
+                    Some(line) => line.clone(),
+                    None => resp::job(rec.id, rec.state.label(), &rec.detail, &rec.tenant),
+                });
+                return;
             }
+            let (tx, rx) = sync_channel(256);
+            c.subs.entry(rec.id).or_default().push(tx);
+            rx
         };
         loop {
             match rx.recv() {
@@ -808,15 +816,14 @@ fn run_one(inner: &Arc<Inner>, rec: &JobRecord) {
                 c.count("serve_chaos_crashes", 1);
                 c.obs.job_finished(rec.id, SpanOutcome::Cancelled);
                 c.gauges();
-                c.end_streams(
+                let line = resp::job(
                     rec.id,
-                    &resp::job(
-                        rec.id,
-                        JobState::Running.label(),
-                        &format!("chaos kill at dispatch {at_event}; restart to recover"),
-                        &rec.tenant,
-                    ),
+                    JobState::Running.label(),
+                    &format!("chaos kill at dispatch {at_event}; restart to recover"),
+                    &rec.tenant,
                 );
+                c.end_streams(rec.id, &line);
+                c.stranded.insert(rec.id, line);
                 self_notify(inner);
                 return;
             }
@@ -1100,4 +1107,36 @@ fn write_result(inner: &Arc<Inner>, rec: &JobRecord, r: &RunResult) -> Result<()
     std::fs::write(&tmp, json).map_err(|e| format!("write {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, &path).map_err(|e| format!("rename {}: {e}", path.display()))?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stream_after_a_chaos_kill_returns_the_kill_line() {
+        let dir = std::env::temp_dir().join(format!("dfl-serve-stranded-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = ServeConfig::new(&dir);
+        cfg.health_poll_ms = 0;
+        let d = Arc::new(Daemon::start(cfg).unwrap());
+        let accepted = d.request(r#"{"op":"submit","workflow":"genomes","chaos_at":8}"#);
+        assert!(accepted[0].contains("accepted"), "{accepted:?}");
+        // Subscribe only once the kill has happened, so no worker is left
+        // to end the stream.
+        while d.snapshot().counter("serve_chaos_crashes") == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let (tx, rx) = sync_channel(1);
+        let streamer = d.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(streamer.request(r#"{"op":"stream","job":0}"#));
+        });
+        let lines = rx.recv_timeout(std::time::Duration::from_secs(30)).expect("stream returned");
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].contains("chaos kill at dispatch"), "{lines:?}");
+        assert!(lines[0].contains(r#""state":"running""#), "{lines:?}");
+        d.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

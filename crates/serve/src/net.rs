@@ -120,6 +120,7 @@ impl Conn {
     fn split(self) -> std::io::Result<(Box<dyn BufRead + Send>, Box<dyn Write + Send>)> {
         match self {
             Conn::Tcp(s) => {
+                s.set_nodelay(true)?;
                 let w = s.try_clone()?;
                 Ok((Box::new(BufReader::new(s)), Box::new(w)))
             }
@@ -207,12 +208,14 @@ fn serve_scrape(stream: TcpStream, daemon: &Daemon) {
 /// One client session: request line in, response line(s) out.
 fn serve_conn(conn: Conn, daemon: &Daemon, shutdown_tx: &SyncSender<()>) {
     daemon.conn_opened();
-    serve_session(conn, daemon, shutdown_tx);
+    if let Ok((reader, mut writer)) = conn.split() {
+        serve_lines(reader, &mut writer, daemon, shutdown_tx);
+    }
     daemon.conn_closed();
 }
 
-fn serve_session(conn: Conn, daemon: &Daemon, shutdown_tx: &SyncSender<()>) {
-    let Ok((reader, mut writer)) = conn.split() else { return };
+/// The session loop over any line source and sink.
+fn serve_lines(reader: impl BufRead, writer: &mut dyn Write, daemon: &Daemon, shutdown_tx: &SyncSender<()>) {
     for line in reader.lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
@@ -221,7 +224,7 @@ fn serve_session(conn: Conn, daemon: &Daemon, shutdown_tx: &SyncSender<()>) {
         let mut dead_client = false;
         let shutdown = daemon.handle_line(&line, &mut |resp_line| {
             if !dead_client {
-                dead_client = writeln!(writer, "{resp_line}").is_err() || writer.flush().is_err();
+                dead_client = send_line(writer, &resp_line).is_err();
             }
         });
         if shutdown {
@@ -233,6 +236,17 @@ fn serve_session(conn: Conn, daemon: &Daemon, shutdown_tx: &SyncSender<()>) {
             return;
         }
     }
+}
+
+/// Sends `line` and its newline in one write. Two writes per line (what
+/// `writeln!` on an unbuffered socket does) make the second wait out
+/// Nagle's algorithm against the peer's delayed ACK, about 40 ms a line.
+fn send_line(w: &mut dyn Write, line: &str) -> std::io::Result<()> {
+    let mut buf = String::with_capacity(line.len() + 1);
+    buf.push_str(line);
+    buf.push('\n');
+    w.write_all(buf.as_bytes())?;
+    w.flush()
 }
 
 /// Minimal blocking client for the daemon: used by the CLI chaos driver,
@@ -248,6 +262,7 @@ impl Client {
     pub fn connect(addr: &str) -> Result<Client, String> {
         let stream =
             TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        stream.set_nodelay(true).map_err(|e| e.to_string())?;
         let writer = stream.try_clone().map_err(|e| e.to_string())?;
         Ok(Client { reader: BufReader::new(stream), writer })
     }
@@ -259,14 +274,14 @@ impl Client {
 
     /// Sends one request line and reads one response line.
     pub fn roundtrip(&mut self, line: &str) -> Result<String, String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("send: {e}"))?;
+        send_line(&mut self.writer, line).map_err(|e| format!("send: {e}"))?;
         self.read_line()
     }
 
     /// Reads response lines until the job's terminal `{"type":"job",...}`
     /// line arrives (the `stream` op's contract), returning all lines.
     pub fn stream_to_end(&mut self, request_line: &str) -> Result<Vec<String>, String> {
-        writeln!(self.writer, "{request_line}").map_err(|e| format!("send: {e}"))?;
+        send_line(&mut self.writer, request_line).map_err(|e| format!("send: {e}"))?;
         let mut lines = Vec::new();
         loop {
             let line = self.read_line()?;
@@ -292,4 +307,66 @@ impl Client {
 /// the Unix transport).
 pub fn sock_path(state_dir: &Path) -> PathBuf {
     state_dir.join("serve.sock")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::ServeConfig;
+
+    /// Keeps the bytes of every `write` call apart.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn assert_one_line_per_write(log: &WriteLog) {
+        for w in &log.0 {
+            let newlines = w.iter().filter(|&&b| b == b'\n').count();
+            assert!(newlines == 1 && w.ends_with(b"\n"), "write is not one whole line: {:?}", String::from_utf8_lossy(w));
+        }
+    }
+
+    #[test]
+    fn every_response_line_is_one_write() {
+        let dir = std::env::temp_dir().join(format!("dfl-serve-net-writes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = ServeConfig::new(&dir);
+        cfg.health_poll_ms = 0;
+        let daemon = Daemon::start(cfg).unwrap();
+        let requests = [
+            r#"{"op":"ping"}"#,
+            r#"{"op":"submit","workflow":"smoke"}"#,
+            r#"{"op":"stream","job":0}"#,
+            r#"{"op":"stats"}"#,
+            "not json",
+            r#"{"op":"shutdown"}"#,
+        ]
+        .join("\n");
+        let (tx, rx) = sync_channel(1);
+        let mut log = WriteLog::default();
+        serve_lines(requests.as_bytes(), &mut log, &daemon, &tx);
+        assert!(rx.try_recv().is_ok(), "shutdown released");
+        // ping, accepted, stream windows + terminal line, stats, error, ok.
+        assert!(log.0.len() >= 6, "{} writes", log.0.len());
+        assert_one_line_per_write(&log);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn client_requests_are_one_write() {
+        let mut log = WriteLog::default();
+        send_line(&mut log, r#"{"op":"ping"}"#).unwrap();
+        send_line(&mut log, "").unwrap();
+        assert_eq!(log.0, [b"{\"op\":\"ping\"}\n".to_vec(), b"\n".to_vec()]);
+    }
 }

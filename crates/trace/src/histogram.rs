@@ -14,7 +14,7 @@
 //!    first *granule* index, so all tasks touching a file keep the same
 //!    subset of locations at any given resolution.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Reader, Serialize, Writer};
 
 use crate::block::MIN_BLOCK;
 use crate::sampling::SpatialSampler;
@@ -78,14 +78,14 @@ pub enum AccessKind {
 struct BlockMap(Vec<(u64, BlockStats)>);
 
 impl Serialize for BlockMap {
-    fn to_value(&self) -> Value {
-        self.0.to_value()
+    fn serialize(&self, w: &mut Writer<'_>) {
+        self.0.serialize(w)
     }
 }
 
 impl Deserialize for BlockMap {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let mut pairs: Vec<(u64, BlockStats)> = Deserialize::from_value(v)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let mut pairs: Vec<(u64, BlockStats)> = Deserialize::deserialize(r)?;
         // Normalize hand-edited input to the ordered-map invariant the hot
         // path relies on: sorted unique keys, last duplicate winning (the
         // same outcome as collecting the pairs into a `BTreeMap`).

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 
 use dfl_iosim::fs::FileMeta;
 use dfl_iosim::{SimError, SimSnapshot};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Reader, Serialize, Value};
 
 use crate::engine::{EngineState, RunConfig};
 use crate::spec::WorkflowSpec;
@@ -254,20 +254,36 @@ pub fn write_manifest(dir: &Path, manifest: &CheckpointManifest) -> Result<PathB
     Ok(path)
 }
 
-/// Reads and validates one manifest file. The schema version is checked on
-/// the raw JSON value *before* the full payload is decoded, so a manifest
-/// from an incompatible build fails with [`CheckpointError::VersionMismatch`]
-/// rather than an opaque parse error.
+/// Reads and validates one manifest file. The schema version is read (the
+/// whole document syntax-checked, nothing else interpreted) *before* the
+/// payload is decoded, so a manifest from an incompatible build fails with
+/// [`CheckpointError::VersionMismatch`] rather than an opaque parse error.
 pub fn load_manifest(path: &Path) -> Result<CheckpointManifest, CheckpointError> {
     let text = std::fs::read_to_string(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-    let value: Value = serde_json::from_str(&text)
-        .map_err(|e| CheckpointError::Parse(format!("{}: {e}", path.display())))?;
-    let found = value["version"].as_u64().unwrap_or(0) as u32;
+    let parse_err = |e: serde_json::Error| CheckpointError::Parse(format!("{}: {e}", path.display()));
+    let VersionProbe(found) = serde_json::from_str(&text).map_err(parse_err)?;
     if found != MANIFEST_VERSION {
         return Err(CheckpointError::VersionMismatch { found, expected: MANIFEST_VERSION });
     }
-    CheckpointManifest::from_value(&value)
-        .map_err(|e| CheckpointError::Parse(format!("{}: {}", path.display(), e.0)))
+    serde_json::from_str(&text).map_err(parse_err)
+}
+
+/// A document's top-level `version` member (the last one, if repeated);
+/// 0 when absent or not an unsigned integer. Every other value is skipped.
+struct VersionProbe(u32);
+
+impl Deserialize for VersionProbe {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let mut version = 0;
+        r.object(|r, key| {
+            if key != "version" {
+                return r.skip_value();
+            }
+            version = Value::deserialize(r)?.as_u64().unwrap_or(0) as u32;
+            Ok(())
+        })?;
+        Ok(VersionProbe(version))
+    }
 }
 
 /// Every `manifest-{seq}.json` in `dir`, sorted by descending sequence.

@@ -7,6 +7,7 @@
 //! tier intermediate files land on, and whether inputs are staged to
 //! node-local storage first ([`Staging`]).
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use dfl_iosim::breakdown::{Breakdown, FlowTag};
@@ -674,6 +675,8 @@ pub(crate) struct EngineCtx<'a> {
     /// Per node, the input files its tasks read (kept owned so failed
     /// staging jobs can be rebuilt for retry).
     staged_files: BTreeMap<u32, Vec<String>>,
+    /// [`config_hash`] of `(spec, cfg)`, computed at the first checkpoint.
+    config_hash: OnceCell<u64>,
 }
 
 impl<'a> EngineCtx<'a> {
@@ -710,7 +713,20 @@ impl<'a> EngineCtx<'a> {
             }
         }
 
-        EngineCtx { spec, cfg, shared, size_of, producers, node_for, staged_files }
+        EngineCtx {
+            spec,
+            cfg,
+            shared,
+            size_of,
+            producers,
+            node_for,
+            staged_files,
+            config_hash: OnceCell::new(),
+        }
+    }
+
+    fn config_hash(&self) -> u64 {
+        *self.config_hash.get_or_init(|| config_hash(self.spec, self.cfg))
     }
 }
 
@@ -880,7 +896,7 @@ pub(crate) fn checkpoint_due(sim: &Simulation, ctx: &EngineCtx, st: &EngineState
 /// the policy cursors, and writes `manifest-{seq}.json` atomically.
 ///
 /// Ordering matters for determinism: the snapshot is first serialized as a
-/// *probe* to measure its size, the zero-duration checkpoint span (and the
+/// *probe* into a byte counter to measure its size, the zero-duration checkpoint span (and the
 /// `checkpoint_bytes` / `checkpoint_stalls` counters) are recorded, and
 /// only then is the real snapshot taken — so the manifest's snapshot
 /// contains its own checkpoint span, a resumed run never re-records it,
@@ -897,9 +913,10 @@ pub(crate) fn take_checkpoint(
 
     let bytes = {
         let probe = sim.snapshot()?;
-        serde_json::to_string(&probe)
-            .map_err(|e| SimError::Snapshot(format!("checkpoint encode: {e}")))?
-            .len() as u64
+        let mut count = ByteCount(0);
+        serde_json::to_writer(&mut count, &probe)
+            .map_err(|e| SimError::Snapshot(format!("checkpoint encode: {e}")))?;
+        count.0
     };
     if let Some(obs) = sim.obs_mut() {
         obs.record_checkpoint(seq, bytes, t_ns);
@@ -934,7 +951,7 @@ pub(crate) fn take_checkpoint(
         .collect();
     let manifest = CheckpointManifest {
         version: MANIFEST_VERSION,
-        config_hash: config_hash(ctx.spec, ctx.cfg),
+        config_hash: ctx.config_hash(),
         seq,
         sim_time_ns: t_ns,
         ledger,
@@ -945,6 +962,20 @@ pub(crate) fn take_checkpoint(
     write_manifest(&c.dir, &manifest)
         .map_err(|e| SimError::Snapshot(format!("checkpoint write: {e}")))?;
     Ok(())
+}
+
+/// An [`std::io::Write`] sink that only counts the bytes written to it.
+struct ByteCount(u64);
+
+impl std::io::Write for ByteCount {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0 += buf.len() as u64;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Repairs one batch of failed attempts: lineage recovery of lost inputs,
