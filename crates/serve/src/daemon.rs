@@ -16,7 +16,10 @@
 //! at any instant: `Queued` jobs re-enter the queue, `Running` jobs resume
 //! from their latest readable checkpoint manifest (torn ones skipped with
 //! typed warnings), and the deterministic engine makes the recovered
-//! result byte-identical to an uninterrupted run's.
+//! result byte-identical to an uninterrupted run's. A job whose checkpoint
+//! directory holds no readable manifest (killed while writing its first
+//! one) restarts from scratch. Once a job's `done` record is durable its
+//! checkpoint directory is removed; every other outcome keeps it.
 //!
 //! # Isolation
 //!
@@ -285,6 +288,8 @@ impl Daemon {
             "serve_torn_manifests",
             "serve_stream_dropped",
             "serve_ledger_commits",
+            "serve_ledger_write_failures",
+            "serve_result_write_failures",
             "serve_diagnoses",
             "serve_connections",
             "serve_malformed",
@@ -780,6 +785,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                     if let Some((tenant, id)) = c.queue.pop() {
                         c.ledger.set_state(id, JobState::Running, "running");
                         if let Err(e) = c.commit_ledger() {
+                            c.count("serve_ledger_write_failures", 1);
                             eprintln!("serve: ledger write failed: {e}");
                         }
                         c.running.insert(id);
@@ -855,12 +861,31 @@ fn run_one(inner: &Arc<Inner>, rec: &JobRecord) {
         c.jobs_completed += 1;
     }
     c.ledger.set_state(rec.id, state, &detail);
-    if let Err(e) = c.commit_ledger() {
-        eprintln!("serve: ledger write failed: {e}");
-    }
+    let committed = match c.commit_ledger() {
+        Ok(()) => true,
+        Err(e) => {
+            c.count("serve_ledger_write_failures", 1);
+            eprintln!("serve: ledger write failed: {e}");
+            false
+        }
+    };
     c.gauges();
     c.end_streams(rec.id, &resp::job(rec.id, state.label(), &detail, &rec.tenant));
     self_notify(inner);
+    drop(c);
+    // A durable `done` record means the job is never resumed again, so
+    // its checkpoints are dead weight (megabytes per job). Every other
+    // outcome keeps them: parked, deadline and cancelled jobs hold their
+    // attempt ledger there, a failed job's manifests are its post-mortem,
+    // and a job whose commit failed may still be recovered as `running`.
+    if state == JobState::Done && committed {
+        let _ = std::fs::remove_dir_all(job_dir(inner, rec.id));
+    }
+}
+
+/// A job's checkpoint directory.
+fn job_dir(inner: &Inner, id: u64) -> PathBuf {
+    inner.cfg.state_dir.join(format!("job-{id}"))
 }
 
 fn self_notify(inner: &Arc<Inner>) {
@@ -918,7 +943,7 @@ fn execute(inner: &Arc<Inner>, rec: &JobRecord) -> Result<(JobState, String), En
         catalog::build(&rec.workflow, scale, rec.nodes as usize).map_err(EngineError::InvalidSpec)?;
     cfg.faults = cfg.faults.clone().seed(rec.seed);
     cfg.obs = Some(ObsConfig::default());
-    let job_dir = inner.cfg.state_dir.join(format!("job-{}", rec.id));
+    let job_dir = job_dir(inner, rec.id);
     cfg.checkpoint =
         Some(CheckpointConfig::to_dir(&job_dir).every_sim_ns(inner.cfg.ckpt_ms.max(1) * 1_000_000));
     let opts = ControlledOptions {
@@ -958,12 +983,13 @@ fn execute(inner: &Arc<Inner>, rec: &JobRecord) -> Result<(JobState, String), En
                 }
                 outcome
             }
-            // Every manifest torn (killed during the very first write):
-            // nothing usable, restart the deterministic run from scratch.
+            // Every manifest torn, or none at all (killed while writing
+            // the first one, before its rename): nothing usable, restart
+            // the deterministic run from scratch.
             Err(EngineError::Checkpoint(
-                CheckpointError::AllTorn { torn, .. },
+                e @ (CheckpointError::AllTorn { .. } | CheckpointError::NoManifest(_)),
             )) => {
-                {
+                if let CheckpointError::AllTorn { torn, .. } = &e {
                     let mut c = inner.core.lock().unwrap();
                     c.count("serve_torn_manifests", torn.len() as u64);
                 }
@@ -979,6 +1005,7 @@ fn execute(inner: &Arc<Inner>, rec: &JobRecord) -> Result<(JobState, String), En
     match outcome {
         ControlledOutcome::Completed(r) => {
             write_result(inner, rec, &r).map_err(|e| {
+                inner.core.lock().unwrap().count("serve_result_write_failures", 1);
                 eprintln!("serve: job {id}: result write failed: {e}");
                 EngineError::InvalidSpec(format!("result write failed: {e}"))
             })?;

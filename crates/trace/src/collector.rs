@@ -6,8 +6,10 @@
 //! (threads) can record into it; per-operation work is O(1) amortized.
 
 use std::collections::HashMap;
+use std::ops::DerefMut;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Memo, Serialize};
 
 use crate::histogram::BlockHistogram;
 use crate::ids::{FileId, Interner, TaskId};
@@ -68,6 +70,18 @@ pub struct FileState {
     pub seed: u64,
 }
 
+/// One pair's state as the collector holds it: shared, so a checkpoint's
+/// [`crate::MonitorState`] copies the `Arc` rather than the histogram, and
+/// memoized, so a pair that has not changed since the last checkpoint is
+/// not encoded again. Change it only through [`pair_mut`].
+pub type SharedPair = Arc<Memo<PairState>>;
+
+/// Write access to a pair: copies it first if a snapshot still shares it
+/// (copy-on-write), and drops its cached encoding.
+pub fn pair_mut(pair: &mut SharedPair) -> &mut PairState {
+    Arc::make_mut(pair).deref_mut()
+}
+
 /// The collector proper. Callers lock it externally (see `Monitor`).
 #[derive(Debug, Default)]
 pub struct Collector {
@@ -75,7 +89,7 @@ pub struct Collector {
     pub files: Interner,
     pub file_states: Vec<FileState>,
     pub task_records: Vec<TaskRecord>,
-    pub pairs: HashMap<(TaskId, FileId), PairState>,
+    pub pairs: HashMap<(TaskId, FileId), SharedPair>,
 }
 
 impl Collector {
@@ -183,8 +197,9 @@ mod tests {
         h0.record(AccessKind::Read, 0, 8192, 0, false);
         let mut p0 = PairState::new(h0, 0);
         p0.bytes_read = 8192;
-        c.pairs.insert((t, f1), PairState::new(BlockHistogram::new(4096, 64, SpatialSampler::keep_all(2)), 0));
-        c.pairs.insert((t, f0), p0);
+        let p1 = PairState::new(BlockHistogram::new(4096, 64, SpatialSampler::keep_all(2)), 0);
+        c.pairs.insert((t, f1), Arc::new(Memo::new(p1)));
+        c.pairs.insert((t, f0), Arc::new(Memo::new(p0)));
 
         let (_, files, records) = c.export();
         assert_eq!(files.len(), 2);

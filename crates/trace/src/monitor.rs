@@ -9,10 +9,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Memo, Serialize};
 
 use crate::block::BlockPolicy;
-use crate::collector::{file_sampler, Collector, FileState, PairState};
+use crate::collector::{file_sampler, pair_mut, Collector, FileState, PairState, SharedPair};
 use crate::error::TraceError;
 use crate::handle::{Fd, OpenMode, SeekFrom, ShadowHandle};
 use crate::hash::hash_str;
@@ -156,6 +156,11 @@ impl Monitor {
     /// [`Monitor::snapshot`] (which coarsens histograms for export), a
     /// [`MonitorState`] restored with [`Monitor::restore_state`] reproduces
     /// the live measurement state exactly.
+    ///
+    /// Pairs are shared with the live collector, not copied: recording
+    /// into a pair the state still holds copies that pair first, so the
+    /// state keeps what it captured, and a pair nobody touched keeps its
+    /// cached encoding from one checkpoint to the next.
     pub fn state(&self) -> MonitorState {
         let c = self.inner.collector.lock();
         MonitorState {
@@ -207,7 +212,7 @@ pub struct MonitorState {
     pub files: Vec<String>,
     pub file_states: Vec<FileState>,
     pub task_records: Vec<TaskRecord>,
-    pub pairs: HashMap<(TaskId, FileId), PairState>,
+    pub pairs: HashMap<(TaskId, FileId), SharedPair>,
 }
 
 /// Serializable state of one in-flight [`TaskContext`].
@@ -293,12 +298,10 @@ impl TaskContext {
             let sampler = file_sampler(cfg.sampling_modulus, cfg.sampling_threshold, fs.seed);
             let block_size = fs.block_size;
             let max_locations = cfg.read_policy.max_locations().min(cfg.write_policy.max_locations());
-            let pair = c
-                .pairs
-                .entry((self.task, file))
-                .or_insert_with(|| {
-                    PairState::new(BlockHistogram::new(block_size, max_locations, sampler), now_ns)
-                });
+            let pair = pair_mut(c.pairs.entry((self.task, file)).or_insert_with(|| {
+                let histogram = BlockHistogram::new(block_size, max_locations, sampler);
+                Arc::new(Memo::new(PairState::new(histogram, now_ns)))
+            }));
             pair.opens += 1;
             pair.first_open_ns = pair.first_open_ns.min(now_ns);
             pair.file_size = pair.file_size.max(size);
@@ -343,6 +346,7 @@ impl TaskContext {
             let fs = &c.file_states[file.0 as usize];
             let block_size = fs.block_size;
             let pair = c.pairs.get_mut(&(self.task, file)).expect("pair exists after open");
+            let pair = pair_mut(pair);
             pair.read_ops += 1;
             pair.bytes_read += n;
             pair.read_ns += t.dur_ns;
@@ -397,6 +401,7 @@ impl TaskContext {
             fs.size = fs.size.max(new_size);
             let block_size = fs.block_size;
             let pair = c.pairs.get_mut(&(self.task, file)).expect("pair exists after open");
+            let pair = pair_mut(pair);
             pair.write_ops += 1;
             pair.bytes_written += n;
             pair.write_ns += t.dur_ns;
@@ -427,10 +432,8 @@ impl TaskContext {
         let h = st.handles.remove(&fd.0).ok_or(TraceError::BadFd(fd.0))?;
         drop(st);
         self.monitor.with_collector(|c| {
-            let pair = c
-                .pairs
-                .get_mut(&(self.task, h.file))
-                .expect("pair exists after open");
+            let pair = c.pairs.get_mut(&(self.task, h.file)).expect("pair exists after open");
+            let pair = pair_mut(pair);
             pair.open_span_ns += now_ns.saturating_sub(h.opened_ns);
             pair.last_close_ns = pair.last_close_ns.max(now_ns);
         });
@@ -566,6 +569,62 @@ mod tests {
             t.finish(10);
         }
         assert_eq!(m.pair_count(), 12);
+    }
+
+    /// A copy of `st` that shares nothing with the live collector.
+    fn deep_clone(st: &MonitorState) -> MonitorState {
+        let mut deep = st.clone();
+        for pair in deep.pairs.values_mut() {
+            *pair = Arc::new(Memo::new(PairState::clone(pair)));
+        }
+        deep
+    }
+
+    #[test]
+    fn captured_state_is_unaffected_by_later_recording() {
+        let m = Monitor::new(MonitorConfig::default());
+        let w = m.begin_task("writer-1", 0);
+        let r = m.begin_task("reader-1", 0);
+        let wfd = w.open("data.bin", OpenMode::Write, None, 0);
+        let rfd = r.open("in.bin", OpenMode::Read, Some(1 << 20), 0);
+        w.write(wfd, 1 << 16, IoTiming::new(10, 5)).unwrap();
+        r.read(rfd, 1 << 16, IoTiming::new(10, 5)).unwrap();
+
+        let st = m.state();
+        let reference = serde_json::to_string(&deep_clone(&st)).unwrap();
+        // Encoding fills the shared pairs' caches.
+        assert!(serde_json::to_string(&st).unwrap() == reference);
+
+        // Keep recording into the very pairs `st` holds, through every
+        // mutation site: read/write, close, and a re-open.
+        w.write(wfd, 1 << 18, IoTiming::new(20, 5)).unwrap();
+        r.read(rfd, 1 << 18, IoTiming::new(20, 5)).unwrap();
+        w.close(wfd, 30).unwrap();
+        let again = r.open("in.bin", OpenMode::Read, Some(1 << 20), 40);
+        r.read(again, 1 << 10, IoTiming::new(41, 1)).unwrap();
+        assert!(serde_json::to_string(&st).unwrap() == reference, "captured state changed");
+        drop(st);
+
+        // Unshared pairs change in place; each mutation site must drop the
+        // pair's cached encoding.
+        let encode_live = || {
+            let live = m.state();
+            let text = serde_json::to_string(&live).unwrap();
+            assert!(text == serde_json::to_string(&deep_clone(&live)).unwrap(), "stale encoding");
+            text
+        };
+        let mut seen = vec![reference, encode_live()];
+        r.read(again, 1 << 10, IoTiming::new(42, 1)).unwrap();
+        seen.push(encode_live());
+        r.close(again, 43).unwrap();
+        seen.push(encode_live());
+        let reopened = w.open("data.bin", OpenMode::Append, None, 44);
+        seen.push(encode_live());
+        w.write(reopened, 1, IoTiming::new(45, 1)).unwrap();
+        seen.push(encode_live());
+        for (i, text) in seen.iter().enumerate().skip(1) {
+            assert!(*text != seen[i - 1], "step {i} changed nothing");
+        }
     }
 
     #[test]

@@ -14,6 +14,16 @@
 //! Manifests are written atomically (temp file + rename) as
 //! `manifest-{seq:06}.json`, so a coordinator killed mid-write leaves the
 //! previous manifest intact and [`load_latest`] always finds a complete one.
+//! Nothing is fsynced: the scheme survives a killed process (the kernel
+//! still holds every written byte), not a power loss or OS crash, after
+//! which a renamed manifest may come back empty or truncated. Tolerant
+//! loading ([`load_latest_tolerant`]) skips such a file.
+//!
+//! Writing a manifest costs roughly what changed since the previous one:
+//! the monitor's pairs, most of its bytes, are shared with the live
+//! collector and carry a cached encoding (see
+//! [`dfl_trace::collector::SharedPair`]), so only pairs recorded into since
+//! the last checkpoint are encoded again.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -240,17 +250,18 @@ pub fn config_hash(spec: &WorkflowSpec, cfg: &RunConfig) -> u64 {
     h
 }
 
-/// Serializes `manifest` and writes it atomically to
-/// `dir/manifest-{seq:06}.json` (temp file + rename); returns the final
-/// path. A crash between the two steps leaves at worst a stale `.tmp`.
+/// Streams `manifest` into a temp file and renames it atomically to
+/// `dir/manifest-{seq:06}.json`; returns the final path. A crash before
+/// the rename leaves at worst a stale `.tmp`.
 pub fn write_manifest(dir: &Path, manifest: &CheckpointManifest) -> Result<PathBuf, CheckpointError> {
-    std::fs::create_dir_all(dir).map_err(|e| CheckpointError::Io(e.to_string()))?;
+    let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
+    std::fs::create_dir_all(dir).map_err(io)?;
     let name = format!("manifest-{:06}.json", manifest.seq);
-    let json = serde_json::to_string(manifest).map_err(|e| CheckpointError::Io(e.to_string()))?;
     let tmp = dir.join(format!(".{name}.tmp"));
     let path = dir.join(name);
-    std::fs::write(&tmp, json).map_err(|e| CheckpointError::Io(e.to_string()))?;
-    std::fs::rename(&tmp, &path).map_err(|e| CheckpointError::Io(e.to_string()))?;
+    let file = std::fs::File::create(&tmp).map_err(io)?;
+    serde_json::to_writer(file, manifest).map_err(|e| CheckpointError::Io(e.to_string()))?;
+    std::fs::rename(&tmp, &path).map_err(io)?;
     Ok(path)
 }
 

@@ -902,6 +902,10 @@ pub(crate) fn checkpoint_due(sim: &Simulation, ctx: &EngineCtx, st: &EngineState
 /// contains its own checkpoint span, a resumed run never re-records it,
 /// and the recorded byte count (which excludes that span) agrees between a
 /// golden run and a resumed one. Restore emits no spans at all.
+///
+/// Both snapshots share the monitor's pairs with the live collector, so the
+/// probe encodes only the pairs changed since the previous checkpoint, and
+/// the manifest splices the encodings the probe cached.
 pub(crate) fn take_checkpoint(
     sim: &mut Simulation,
     ctx: &EngineCtx,
@@ -933,7 +937,36 @@ pub(crate) fn take_checkpoint(
         st.next_ckpt_ns = Some(next);
     }
     st.stages_ckpted = stages_complete(sim, ctx, st);
+    write_state(sim, ctx, st, seq, &c.dir)
+}
 
+/// Parks the paused state in `manifest-{seq}.json` at the next checkpoint
+/// sequence, recording nothing: no span, no counter, no policy cursor
+/// moves. Returns the sequence, or `None` without a checkpoint policy.
+///
+/// A park at a pause that is not a checkpoint point (a window edge, say)
+/// is not part of the computation, so the parked state is exactly what an
+/// uninterrupted run holds there, and a run resumed from it finishes with
+/// the same timeline as one that never stopped. The run's next regular
+/// checkpoint takes the same sequence and replaces the parked manifest.
+pub(crate) fn park_state(
+    sim: &Simulation,
+    ctx: &EngineCtx,
+    st: &EngineState,
+) -> Result<Option<u64>, SimError> {
+    let Some(c) = ctx.cfg.checkpoint.as_ref() else { return Ok(None) };
+    write_state(sim, ctx, st, st.ckpt_seq, &c.dir)?;
+    Ok(Some(st.ckpt_seq))
+}
+
+/// Writes the current simulator and engine state as manifest `seq`.
+fn write_state(
+    sim: &Simulation,
+    ctx: &EngineCtx,
+    st: &EngineState,
+    seq: u64,
+    dir: &std::path::Path,
+) -> Result<(), SimError> {
     let snap = sim.snapshot()?;
     let ledger: Vec<AttemptRecord> = snap
         .jobs
@@ -953,13 +986,13 @@ pub(crate) fn take_checkpoint(
         version: MANIFEST_VERSION,
         config_hash: ctx.config_hash(),
         seq,
-        sim_time_ns: t_ns,
+        sim_time_ns: sim.time().ns(),
         ledger,
         files: snap.files.clone(),
         engine: st.clone(),
         sim: snap,
     };
-    write_manifest(&c.dir, &manifest)
+    write_manifest(dir, &manifest)
         .map_err(|e| SimError::Snapshot(format!("checkpoint write: {e}")))?;
     Ok(())
 }

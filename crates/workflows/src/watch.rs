@@ -36,8 +36,8 @@ use serde::Serialize;
 
 use crate::checkpoint::{load_latest_tolerant, CheckpointError, TornManifest};
 use crate::engine::{
-    checkpoint_due, finalize, handle_failures, init_run, restore_for_resume, take_checkpoint,
-    validate_run, EngineCtx, EngineError, EngineState, RunConfig, RunResult,
+    checkpoint_due, finalize, handle_failures, init_run, park_state, restore_for_resume,
+    take_checkpoint, validate_run, EngineCtx, EngineError, EngineState, RunConfig, RunResult,
 };
 use crate::spec::WorkflowSpec;
 
@@ -287,20 +287,17 @@ fn drive_controlled(
 
     // Parks the paused state in a manifest (when checkpointing is on) and
     // reports the preemption. `fresh_seq` is the sequence of a checkpoint
-    // taken at this very pause, which already holds the parked state.
-    let park = |sim: &mut Simulation,
-                st: &mut EngineState,
+    // taken at this very pause, which already holds the parked state;
+    // otherwise the park records nothing, so resuming it reproduces an
+    // uninterrupted run's timeline.
+    let park = |sim: &Simulation,
+                st: &EngineState,
                 cause: PreemptCause,
                 fresh_seq: Option<u64>|
      -> Result<ControlledOutcome, EngineError> {
         let parked_seq = match fresh_seq {
             Some(seq) => Some(seq),
-            None if ctx.cfg.checkpoint.is_some() => {
-                let seq = st.ckpt_seq;
-                take_checkpoint(sim, ctx, st)?;
-                Some(seq)
-            }
-            None => None,
+            None => park_state(sim, ctx, st)?,
         };
         let tasks_done = (0..ctx.spec.tasks.len())
             .filter(|&ti| sim.job_done(st.cur_job_of_task[ti]))
@@ -327,7 +324,7 @@ fn drive_controlled(
         // A restored run may already sit past its deadline; preempt before
         // dispatching anything further.
         if opts.deadline_ns.is_some_and(|d| sim.time().ns() >= d) {
-            return park(&mut sim, &mut st, PreemptCause::Deadline, None);
+            return park(&sim, &st, PreemptCause::Deadline, None);
         }
         let mut deadline = w.next_window;
         if ckpt.is_some_and(|c| c.every_sim_ns.is_some()) {
@@ -352,10 +349,10 @@ fn drive_controlled(
                     on_window(&summary);
                 }
                 if opts.deadline_ns.is_some_and(|d| sim.time().ns() >= d) {
-                    return park(&mut sim, &mut st, PreemptCause::Deadline, fresh_seq);
+                    return park(&sim, &st, PreemptCause::Deadline, fresh_seq);
                 }
                 if control() == StepControl::Preempt {
-                    return park(&mut sim, &mut st, PreemptCause::Control, fresh_seq);
+                    return park(&sim, &st, PreemptCause::Control, fresh_seq);
                 }
             }
             RunOutcome::Failures(failures) => {
@@ -568,6 +565,51 @@ mod tests {
             first > pre_idx,
             "windows continue past the preempt point (pre {pre_idx}, resumed {first}, t={preempt_t})"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn park_off_the_checkpoint_cadence_resumes_to_the_golden_timeline() {
+        let s = spec();
+        let (mut cfg, dir) = ckpt_cfg("park-timeline");
+        cfg.obs = Some(ObsConfig::default());
+        // 20 ms windows against a 30 ms checkpoint cadence: the pause after
+        // the first window is not a checkpoint point.
+        let wopts = WatchOptions { window_ns: 20_000_000, ..WatchOptions::default() };
+        let opts = ControlledOptions { watch: wopts, deadline_ns: None };
+        let golden = match run_controlled(&s, &cfg, &opts, |_| {}, || StepControl::Continue)
+            .unwrap()
+        {
+            ControlledOutcome::Completed(r) => r,
+            other => panic!("golden run preempted: {other:?}"),
+        };
+
+        let _ = std::fs::remove_dir_all(&dir);
+        let windows = std::cell::Cell::new(0u64);
+        let out = run_controlled(
+            &s,
+            &cfg,
+            &opts,
+            |_| windows.set(windows.get() + 1),
+            || if windows.get() >= 1 { StepControl::Preempt } else { StepControl::Continue },
+        )
+        .unwrap();
+        match out {
+            ControlledOutcome::Preempted { sim_time_ns, parked_seq, .. } => {
+                assert_eq!(sim_time_ns, 20_000_000);
+                // Only the t=0 baseline (seq 0) was a real checkpoint.
+                assert_eq!(parked_seq, Some(1));
+            }
+            ControlledOutcome::Completed(_) => panic!("control preempt ignored"),
+        }
+        let (out, _) =
+            resume_controlled(&s, &cfg, &opts, |_| {}, || StepControl::Continue).unwrap();
+        let resumed = match out {
+            ControlledOutcome::Completed(r) => r,
+            other => panic!("resume preempted: {other:?}"),
+        };
+        let trace = |r: &RunResult| dfl_obs::chrome_trace(r.timeline.as_ref().unwrap());
+        assert!(trace(&resumed) == trace(&golden), "the park left a trace in the timeline");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -303,3 +303,25 @@ fn metrics_traffic_does_not_perturb_job_results() {
     let _ = std::fs::remove_dir_all(&golden_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn write_failure_counters_are_registered_at_zero() {
+    let dir = state_dir("write-failures");
+    let d = daemon(&dir, |c| c.workers = 1);
+    let job = accept(&d, &submit("smoke", |_| {}));
+    assert_eq!(run_to_end(&d, job), "done");
+
+    let names = ["serve_ledger_write_failures", "serve_result_write_failures"];
+    let m = metrics(&d);
+    for name in names {
+        assert_eq!(m["counters"][name].as_u64(), Some(0), "{name} in the metrics reply");
+    }
+    let page = d.prometheus();
+    validate_exposition(&page);
+    for name in names {
+        assert_eq!(scrape_value(&page, name), 0, "{name} on the Prometheus page");
+        assert!(page.contains(&format!("# TYPE {name} counter\n")), "{page}");
+    }
+    d.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -511,3 +511,76 @@ fn tcp_and_unix_transports_serve_the_protocol() {
     d.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn temp_only_job_dir_restarts_fresh_on_recovery() {
+    // Golden: the same submission, uninterrupted.
+    let golden_dir = state_dir("temp-only-golden");
+    let d = daemon(&golden_dir, |_| {});
+    let job = accept(&d, &submit("genomes", |r| r.seed = Some(5)));
+    assert_eq!(run_to_end(&d, job).0, "done");
+    let golden = result_bytes(&golden_dir, job);
+    d.shutdown();
+    let _ = std::fs::remove_dir_all(&golden_dir);
+
+    // Admitted, then the daemon died while writing the job's first
+    // manifest: its directory holds only a truncated temp file.
+    let dir = state_dir("temp-only");
+    let d = daemon(&dir, |c| c.workers = 0);
+    let job2 = accept(&d, &submit("genomes", |r| r.seed = Some(5)));
+    assert_eq!(job, job2, "fresh ledgers allocate the same id");
+    d.shutdown();
+    let (spec, mut cfg) = catalog::build("genomes", catalog::Scale::Tiny, 2).unwrap();
+    let scratch = state_dir("temp-only-manifest");
+    cfg.checkpoint = Some(dfl_workflows::CheckpointConfig::to_dir(&scratch));
+    dfl_workflows::run(&spec, &cfg).unwrap();
+    let manifest = std::fs::read(scratch.join("manifest-000000.json")).unwrap();
+    let _ = std::fs::remove_dir_all(&scratch);
+    let job_dir = dir.join(format!("job-{job2}"));
+    std::fs::create_dir_all(&job_dir).unwrap();
+    std::fs::write(job_dir.join(".manifest-000000.json.tmp"), &manifest[..manifest.len() / 2])
+        .unwrap();
+
+    // Nothing to resume from is not a failure: the job runs from scratch.
+    let d = daemon(&dir, |_| {});
+    let (state, detail) = run_to_end(&d, job2);
+    assert_eq!(state, "done", "{detail}");
+    assert_eq!(result_bytes(&dir, job2), golden, "fresh restart changed the result bytes");
+    d.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn done_job_checkpoints_are_removed_and_its_result_kept() {
+    let dir = state_dir("done-cleanup");
+    let d = daemon(&dir, |_| {});
+    let job = accept(&d, &submit("genomes", |_| {}));
+    assert_eq!(run_to_end(&d, job).0, "done");
+    // Removal follows the terminal line; shutdown joins the worker.
+    d.shutdown();
+    assert!(!dir.join(format!("job-{job}")).exists(), "done job kept its checkpoints");
+    assert!(!result_bytes(&dir, job).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deadline_job_keeps_its_manifests() {
+    let (spec, cfg) = catalog::build("genomes", catalog::Scale::Tiny, 2).unwrap();
+    let golden = dfl_workflows::run(&spec, &cfg).unwrap();
+    let deadline_ms = (golden.makespan_s * 1000.0 / 2.0) as u64;
+
+    let dir = state_dir("deadline-keep");
+    let d = daemon(&dir, |_| {});
+    let job = accept(&d, &submit("genomes", |r| r.deadline_ms = Some(deadline_ms)));
+    assert_eq!(run_to_end(&d, job).0, "deadline");
+    d.shutdown();
+    let job_dir = dir.join(format!("job-{job}"));
+    let manifests = std::fs::read_dir(&job_dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_str().is_some_and(|n| n.starts_with("manifest-")))
+        .count();
+    assert!(manifests > 0, "deadline job lost its parked manifests");
+    assert!(dfl_workflows::load_latest(&job_dir).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
