@@ -19,7 +19,8 @@
 //! result byte-identical to an uninterrupted run's. A job whose checkpoint
 //! directory holds no readable manifest (killed while writing its first
 //! one) restarts from scratch. Once a job's `done` record is durable its
-//! checkpoint directory is removed; every other outcome keeps it.
+//! checkpoint directory is removed (and swept at start-up, should a kill
+//! have come in between); every other outcome keeps it.
 //!
 //! # Isolation
 //!
@@ -32,7 +33,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -345,12 +346,18 @@ impl Daemon {
         // Metrics replay: counters describing durable state are rebuilt
         // from the ledger, so a restart (including after `kill -9`) does
         // not zero the history of work already on disk.
+        // The same pass sweeps the checkpoint directories of `done` jobs:
+        // `run_one` removes them after the commit, so one is left only by
+        // a kill in between (or by a build that kept them).
         let mut by_state = [0u64; 6];
         for j in core.ledger.jobs() {
             let i = match j.state {
                 JobState::Queued => 0,
                 JobState::Running => 1,
-                JobState::Done => 2,
+                JobState::Done => {
+                    let _ = std::fs::remove_dir_all(job_dir(&cfg.state_dir, j.id));
+                    2
+                }
                 JobState::Failed => 3,
                 JobState::Cancelled => 4,
                 JobState::Deadline => 5,
@@ -879,13 +886,13 @@ fn run_one(inner: &Arc<Inner>, rec: &JobRecord) {
     // attempt ledger there, a failed job's manifests are its post-mortem,
     // and a job whose commit failed may still be recovered as `running`.
     if state == JobState::Done && committed {
-        let _ = std::fs::remove_dir_all(job_dir(inner, rec.id));
+        let _ = std::fs::remove_dir_all(job_dir(&inner.cfg.state_dir, rec.id));
     }
 }
 
 /// A job's checkpoint directory.
-fn job_dir(inner: &Inner, id: u64) -> PathBuf {
-    inner.cfg.state_dir.join(format!("job-{id}"))
+fn job_dir(state_dir: &Path, id: u64) -> PathBuf {
+    state_dir.join(format!("job-{id}"))
 }
 
 fn self_notify(inner: &Arc<Inner>) {
@@ -943,7 +950,7 @@ fn execute(inner: &Arc<Inner>, rec: &JobRecord) -> Result<(JobState, String), En
         catalog::build(&rec.workflow, scale, rec.nodes as usize).map_err(EngineError::InvalidSpec)?;
     cfg.faults = cfg.faults.clone().seed(rec.seed);
     cfg.obs = Some(ObsConfig::default());
-    let job_dir = job_dir(inner, rec.id);
+    let job_dir = job_dir(&inner.cfg.state_dir, rec.id);
     cfg.checkpoint =
         Some(CheckpointConfig::to_dir(&job_dir).every_sim_ns(inner.cfg.ckpt_ms.max(1) * 1_000_000));
     let opts = ControlledOptions {

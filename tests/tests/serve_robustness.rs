@@ -564,6 +564,32 @@ fn done_job_checkpoints_are_removed_and_its_result_kept() {
 }
 
 #[test]
+fn restart_sweeps_checkpoints_a_done_job_left_behind() {
+    let dir = state_dir("done-sweep");
+    let d = daemon(&dir, |_| {});
+    let done = accept(&d, &submit("genomes", |_| {}));
+    assert_eq!(run_to_end(&d, done).0, "done");
+    d.shutdown();
+    let d = daemon(&dir, |c| c.workers = 0);
+    let queued = accept(&d, &submit("genomes", |_| {}));
+    d.shutdown();
+
+    // A kill between the `done` commit and the removal leaves the
+    // directory; a queued job's directory is not the sweep's business.
+    for job in [done, queued] {
+        let job_dir = dir.join(format!("job-{job}"));
+        std::fs::create_dir_all(&job_dir).unwrap();
+        std::fs::write(job_dir.join("manifest-000000.json"), b"{}").unwrap();
+    }
+    let d = daemon(&dir, |c| c.workers = 0);
+    assert!(!dir.join(format!("job-{done}")).exists(), "restart kept a done job's checkpoints");
+    assert!(dir.join(format!("job-{queued}")).exists(), "restart swept a queued job's directory");
+    assert!(!result_bytes(&dir, done).is_empty());
+    d.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn deadline_job_keeps_its_manifests() {
     let (spec, cfg) = catalog::build("genomes", catalog::Scale::Tiny, 2).unwrap();
     let golden = dfl_workflows::run(&spec, &cfg).unwrap();
